@@ -65,9 +65,11 @@ type Network struct {
 	occBits, curBits []uint64
 	dirty            []int
 	inDirty          []bool
-	// offeredPEs and acceptedPEs let the sparse path touch only the PEs
-	// with an offer or a set accepted flag instead of all N² each cycle.
-	offeredPEs, acceptedPEs []int
+	// offerBits marks PEs holding an offer and acceptedPEs lists the set
+	// accepted flags, so the sparse path touches only those PEs instead of
+	// all N² each cycle.
+	offerBits   []uint64
+	acceptedPEs []int
 
 	// dense selects the reference stepping path; see SetDense.
 	dense bool
@@ -98,15 +100,16 @@ func New(w, h int, cfg Config) (*Network, error) {
 	words := (n + 63) / 64
 	return &Network{
 		w: w, h: h, depth: cfg.Depth,
-		queues:   make([][numPorts][]noc.Packet, n),
-		lens:     make([][numPorts]int, n),
-		rr:       make([][numPorts + 1]uint8, n),
-		offers:   make([]slot, n),
-		accepted: make([]bool, n),
-		occ:      make([]int, n),
-		occBits:  make([]uint64, words),
-		curBits:  make([]uint64, words),
-		inDirty:  make([]bool, n),
+		queues:    make([][numPorts][]noc.Packet, n),
+		lens:      make([][numPorts]int, n),
+		rr:        make([][numPorts + 1]uint8, n),
+		offers:    make([]slot, n),
+		accepted:  make([]bool, n),
+		occ:       make([]int, n),
+		occBits:   make([]uint64, words),
+		curBits:   make([]uint64, words),
+		offerBits: make([]uint64, words),
+		inDirty:   make([]bool, n),
 	}, nil
 }
 
@@ -132,16 +135,41 @@ func (nw *Network) Height() int { return nw.h }
 // NumPEs returns the client count.
 func (nw *Network) NumPEs() int { return nw.w * nw.h }
 
-// Offer presents p for injection at PE pe this cycle.
+// Offer latches p for injection at PE pe until its injection FIFO has room
+// (see noc.Network).
 func (nw *Network) Offer(pe int, p noc.Packet) {
-	if !nw.offers[pe].ok {
-		nw.offeredPEs = append(nw.offeredPEs, pe)
-	}
 	nw.offers[pe] = slot{p: p, ok: true}
+	nw.offerBits[pe>>6] |= 1 << (uint(pe) & 63)
+}
+
+// Withdraw cancels the offer held at pe.
+func (nw *Network) Withdraw(pe int) {
+	nw.offers[pe].ok = false
+	nw.offerBits[pe>>6] &^= 1 << (uint(pe) & 63)
 }
 
 // Accepted reports whether the offer at pe entered the injection FIFO.
 func (nw *Network) Accepted(pe int) bool { return nw.accepted[pe] }
+
+// AcceptedPEs returns the PEs whose offers entered their injection FIFO in
+// the last Step, ascending; the slice is reused.
+func (nw *Network) AcceptedPEs() []int { return nw.acceptedPEs }
+
+// inject moves pe's held offer into its injection FIFO if there is room,
+// and counts a stall otherwise (the offer stays latched).
+func (nw *Network) inject(pe int, now int64) {
+	if len(nw.queues[pe][pPE]) >= nw.depth {
+		nw.counters.InjectionStalls++
+		return
+	}
+	p := nw.offers[pe].p
+	p.Inject = now
+	nw.Withdraw(pe)
+	nw.push(pe, pPE, p)
+	nw.inFlight++
+	nw.accepted[pe] = true
+	nw.acceptedPEs = append(nw.acceptedPEs, pe)
+}
 
 // Delivered returns packets delivered in the last Step; the slice is reused.
 func (nw *Network) Delivered() []noc.Packet { return nw.delivered }
@@ -201,24 +229,15 @@ func (nw *Network) Step(now int64) {
 	}
 	nw.acceptedPEs = nw.acceptedPEs[:0]
 
-	// Accept injections into PE FIFOs first (they see last cycle's space).
-	// Per-PE injection touches only that PE's own queue, so processing the
-	// offered list in arrival order is equivalent to the dense scan.
-	for _, pe := range nw.offeredPEs {
-		off := nw.offers[pe]
-		nw.offers[pe] = slot{}
-		if len(nw.queues[pe][pPE]) < nw.depth {
-			p := off.p
-			p.Inject = now
-			nw.push(pe, pPE, p)
-			nw.inFlight++
-			nw.accepted[pe] = true
-			nw.acceptedPEs = append(nw.acceptedPEs, pe)
-		} else {
-			nw.counters.InjectionStalls++
+	// Accept injections into PE FIFOs first (they see last cycle's space),
+	// walking the held offers in ascending PE order like the dense scan.
+	for wd, b := range nw.offerBits {
+		for b != 0 {
+			pe := wd<<6 + bits.TrailingZeros64(b)
+			b &= b - 1
+			nw.inject(pe, now)
 		}
 	}
-	nw.offeredPEs = nw.offeredPEs[:0]
 
 	// Refresh the credit snapshot where it went stale. pop keeps lens equal
 	// to the live queue length, so only routers that took a push since the
@@ -251,23 +270,12 @@ func (nw *Network) stepDense(now int64) {
 	nw.now = now
 	nw.delivered = nw.delivered[:0]
 	nw.acceptedPEs = nw.acceptedPEs[:0]
-	nw.offeredPEs = nw.offeredPEs[:0]
 
 	// Accept injections into PE FIFOs first (they see last cycle's space).
-	for pe, off := range nw.offers {
+	for pe := range nw.offers {
 		nw.accepted[pe] = false
-		if !off.ok {
-			continue
-		}
-		nw.offers[pe] = slot{}
-		if len(nw.queues[pe][pPE]) < nw.depth {
-			p := off.p
-			p.Inject = now
-			nw.push(pe, pPE, p)
-			nw.inFlight++
-			nw.accepted[pe] = true
-		} else {
-			nw.counters.InjectionStalls++
+		if nw.offers[pe].ok {
+			nw.inject(pe, now)
 		}
 	}
 

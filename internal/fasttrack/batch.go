@@ -15,7 +15,7 @@ type batchArena struct {
 	i32 []int32
 	pk  []noc.Packet
 	u64 []uint64
-	sl  []slot
+	of  []offer
 	b   []bool
 }
 
@@ -37,12 +37,12 @@ func (a *batchArena) words(n int) []uint64 {
 	return r
 }
 
-func (a *batchArena) slots(n int) []slot {
-	if a == nil || len(a.sl) < n {
-		return make([]slot, n)
+func (a *batchArena) offers(n int) []offer {
+	if a == nil || len(a.of) < n {
+		return make([]offer, n)
 	}
-	r := a.sl[:n:n]
-	a.sl = a.sl[n:]
+	r := a.of[:n:n]
+	a.of = a.of[n:]
 	return r
 }
 
@@ -68,10 +68,10 @@ func (a *batchArena) packets(n int) []noc.Packet {
 
 // Batch is B independent FastTrack instances of one configuration, with the
 // sparse hot-path state (register files, packet pools, occupancy bitsets,
-// offer and accepted arrays) laid out batch-major in shared slabs and the
-// memoized route tables attached to every instance. Each instance is an
-// ordinary *Network: the lockstep driver steps them with the same Step code
-// the per-job path runs, which is what makes batched results bit-identical.
+// offer and accepted arrays) laid out batch-major in shared slabs. Each
+// instance is an ordinary *Network: the lockstep driver steps them with the
+// same Step code the per-job path runs, which is what makes batched results
+// bit-identical.
 type Batch struct {
 	cfg   Config
 	insts []*Network
@@ -99,7 +99,7 @@ func NewBatch(cfg Config, b int) (*Batch, error) {
 	ar := &batchArena{
 		i32: make([]int32, b*i32PerInst),
 		u64: make([]uint64, b*u64PerInst),
-		sl:  make([]slot, b*sz),
+		of:  make([]offer, b*sz),
 		b:   make([]bool, b*sz),
 		pk:  make([]noc.Packet, b*poolBound(cfg)),
 	}
@@ -109,7 +109,6 @@ func NewBatch(cfg Config, b int) (*Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		nw.enableTables()
 		bt.insts[i] = nw
 	}
 	return bt, nil

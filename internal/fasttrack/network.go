@@ -14,6 +14,15 @@ type slot struct {
 	ok bool
 }
 
+// offer is a PE's injection register: the latched packet, its injection
+// preference list (looked up once, when the packet is offered), and a valid
+// bit.
+type offer struct {
+	p  noc.Packet
+	pr *prefs
+	ok bool
+}
+
 // output indices into the per-router staging arrays.
 const (
 	oESh = iota
@@ -108,7 +117,7 @@ type Network struct {
 	xPipeR, yPipeR [][]int32
 	exPend, syPend []int32
 
-	offers   []slot
+	offers   []offer
 	accepted []bool
 
 	// sh holds the per-shard state; len(sh) == 1 until ConfigureShards.
@@ -123,14 +132,15 @@ type Network struct {
 
 	// Merged views for the sharded accessors; unused when single-shard.
 	mergedDelivered []noc.Packet
+	mergedAccepted  []int
 	mergedCounters  noc.Counters
 
 	// dense selects the reference stepping path; see SetDense.
 	dense bool
 
-	// tabs, when non-nil, holds the memoized routing-decision tables shared
-	// by every instance with the same (topology, variant); see tables.go.
-	// Only batch instances carry tables.
+	// tabs holds the memoized routing-decision tables shared by every
+	// instance with the same (topology, variant); see tables.go. The sparse
+	// path routes from them; the dense reference path never reads them.
 	tabs *routeTables
 
 	// obs, when non-nil, receives telemetry events. Every emission site is
@@ -160,9 +170,10 @@ func newNet(cfg Config, ar *batchArena) (*Network, error) {
 		n:     n,
 		wShIn: make([]slot, sz), wExIn: make([]slot, sz),
 		nShIn: make([]slot, sz), nExIn: make([]slot, sz),
-		offers:   ar.slots(sz),
+		offers:   ar.offers(sz),
 		accepted: ar.bools(sz),
 	}
+	nw.enableTables()
 	words := (sz + 63) / 64
 	nw.curBits = ar.words(words)
 	nw.sh = nw.makeShards(1, ar)
@@ -261,6 +272,7 @@ func (nw *Network) Reset() {
 	nw.shardOf = nil
 	nw.arena = 0
 	nw.mergedDelivered = nw.mergedDelivered[:0]
+	nw.mergedAccepted = nw.mergedAccepted[:0]
 	nw.mergedCounters = noc.Counters{}
 	nw.dense = false
 	nw.obs = nil
@@ -418,10 +430,15 @@ func (nw *Network) SetDense(d bool) { nw.dense = d }
 // attaches Options.Observer through this.
 func (nw *Network) SetObserver(o telemetry.Observer) { nw.obs = o }
 
-// Offer presents p for injection at PE pe this cycle. Concurrent offers
-// are allowed for PEs owned by different shards.
+// Offer latches p for injection at PE pe until a Step accepts it (see
+// noc.Network), together with its injection preference list, so a refused
+// offer is re-arbitrated without recomputing its ring offsets. Concurrent
+// offers are allowed for PEs owned by different shards.
 func (nw *Network) Offer(pe int, p noc.Packet) {
-	nw.offers[pe] = slot{p: p, ok: true}
+	tb := nw.tabs
+	x, y := pe%nw.n, pe/nw.n
+	pr := &tb.inj[tb.class[pe]][delta(y, p.Dst.Y, nw.n)*nw.n+delta(x, p.Dst.X, nw.n)]
+	nw.offers[pe] = offer{p: p, pr: pr, ok: true}
 	sh := &nw.sh[0]
 	if nw.shardOf != nil {
 		sh = &nw.sh[nw.shardOf[pe]]
@@ -429,8 +446,21 @@ func (nw *Network) Offer(pe int, p noc.Packet) {
 	sh.mark(pe)
 }
 
+// Withdraw cancels the offer held at pe. A router left marked by the offer
+// routes as if it had none.
+func (nw *Network) Withdraw(pe int) { nw.offers[pe].ok = false }
+
 // Accepted reports whether the offer at pe was injected in the last Step.
 func (nw *Network) Accepted(pe int) bool { return nw.accepted[pe] }
+
+// AcceptedPEs returns the PEs whose offers were injected in the last Step,
+// ascending; the slice is reused.
+func (nw *Network) AcceptedPEs() []int {
+	if nw.shardOf == nil {
+		return nw.sh[0].acceptedPEs
+	}
+	return nw.mergedAccepted
+}
 
 // Delivered returns packets delivered in the last Step; the slice is reused.
 func (nw *Network) Delivered() []noc.Packet {
@@ -601,10 +631,13 @@ func (nw *Network) EndCycle(now int64) {
 	nw.swapRegs()
 
 	merged := nw.mergedDelivered[:0]
+	acc := nw.mergedAccepted[:0]
 	for k := range nw.sh {
 		merged = append(merged, nw.sh[k].delivered...)
+		acc = append(acc, nw.sh[k].acceptedPEs...)
 	}
 	nw.mergedDelivered = merged
+	nw.mergedAccepted = acc
 
 	for k := range nw.sh {
 		sh := &nw.sh[k]

@@ -217,7 +217,6 @@ func TestConservationUnderLoad(t *testing.T) {
 		pes := nw.NumPEs()
 		var injected, delivered int64
 		for cyc := int64(0); cyc < 1500; cyc++ {
-			offered := map[int]bool{}
 			for pe := 0; pe < pes; pe++ {
 				if next()%10 < 5 {
 					dst := int(next() % uint64(pes))
@@ -225,15 +224,12 @@ func TestConservationUnderLoad(t *testing.T) {
 						ID:  cyc<<16 | int64(pe),
 						Src: noc.PECoord(pe, c.n), Dst: noc.PECoord(dst, c.n), Gen: cyc,
 					})
-					offered[pe] = true
 				}
 			}
 			nw.Step(cyc)
-			for pe := range offered {
-				if nw.Accepted(pe) {
-					injected++
-				}
-			}
+			// A refused offer stays latched and may be injected on a later
+			// cycle, so count every acceptance the network reports.
+			injected += int64(len(nw.AcceptedPEs()))
 			delivered += int64(len(nw.Delivered()))
 			if injected != delivered+int64(nw.InFlight()) {
 				t.Fatalf("FT(%d,%d,%d)/%v cycle %d: injected %d != delivered %d + inflight %d",
@@ -355,25 +351,22 @@ func TestExpressPipelineConservation(t *testing.T) {
 	next := func() uint64 { seed = seed*6364136223846793005 + 1; return seed >> 33 }
 	var injected, delivered int64
 	for cyc := int64(0); cyc < 3000; cyc++ {
-		offered := map[int]bool{}
 		for pe := 0; pe < 64; pe++ {
 			if next()%2 == 0 {
 				nw.Offer(pe, noc.Packet{ID: cyc<<8 | int64(pe),
 					Src: noc.PECoord(pe, 8), Dst: noc.PECoord(int(next()%64), 8), Gen: cyc})
-				offered[pe] = true
 			}
 		}
 		nw.Step(cyc)
-		for pe := range offered {
-			if nw.Accepted(pe) {
-				injected++
-			}
-		}
+		// A refused offer stays latched and may be injected on a later
+		// cycle, so count every acceptance the network reports.
+		injected += int64(len(nw.AcceptedPEs()))
 		delivered += int64(len(nw.Delivered()))
 	}
 	// Drain.
 	for cyc := int64(3000); nw.InFlight() > 0 && cyc < 20000; cyc++ {
 		nw.Step(cyc)
+		injected += int64(len(nw.AcceptedPEs()))
 		delivered += int64(len(nw.Delivered()))
 	}
 	if injected != delivered {

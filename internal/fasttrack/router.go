@@ -288,8 +288,9 @@ func (nw *Network) prefsFor(port noc.Port, dst noc.Coord, x, y int) prefs {
 
 // injectAt arbitrates the PE offer at router (x, y) after all in-flight
 // traffic has been placed. Injection never misroutes: if every acceptable
-// first-hop port is busy the client stalls and retries (§IV-C: the PE port
-// has the lowest priority because in-flight packets cannot wait).
+// first-hop port is busy the offer stays latched and the client stalls
+// (§IV-C: the PE port has the lowest priority because in-flight packets
+// cannot wait).
 func (nw *Network) injectAt(a *arb, i, x, y int, now int64) {
 	s0 := &nw.sh[0]
 	nw.accepted[i] = false
@@ -297,7 +298,6 @@ func (nw *Network) injectAt(a *arb, i, x, y int, now int64) {
 	if !off.ok {
 		return
 	}
-	off.ok = false
 
 	t := nw.cfg.Topology
 	p := off.p
@@ -353,6 +353,7 @@ func (nw *Network) injectAt(a *arb, i, x, y int, now int64) {
 		}
 		p.Inject = now
 		s0.inFlight++
+		off.ok = false
 		nw.accepted[i] = true
 		s0.acceptedPEs = append(s0.acceptedPEs, i)
 		if c.deliver {
@@ -370,18 +371,7 @@ func (nw *Network) injectAt(a *arb, i, x, y int, now int64) {
 // an 80-byte slot — and with the latch fused in: granting an output writes
 // the downstream next-cycle register directly (emitR).
 func (nw *Network) routeSparse(sh *shardCtx, i, x, y int, now int64) {
-	var a arb
-	if tb := nw.tabs; tb != nil {
-		a.exists = tb.exists[i]
-	} else {
-		t := nw.cfg.Topology
-		a.exists = [numOuts]bool{
-			oESh: true,
-			oSSh: true,
-			oEEx: t.HasXExpress(x),
-			oSEx: t.HasYExpress(y),
-		}
-	}
+	a := arb{exists: nw.tabs.exists[i]}
 
 	// Inputs are consumed (and cleared, so a router that goes idle does not
 	// replay stale packets when it reactivates) as they are read.
@@ -404,19 +394,13 @@ func (nw *Network) routeSparse(sh *shardCtx, i, x, y int, now int64) {
 	nw.injectAtR(sh, &a, i, x, y, now)
 }
 
-// placeR is place over a pool index. Batch instances replay the memoized
-// preference list for (port, dx, dy) instead of rebuilding it per packet;
-// the tables are constructed by calling prefsFor itself (see tables.go), so
-// both branches walk identical lists.
+// placeR is place over a pool index. It replays the memoized preference
+// list for (port, dx, dy) instead of rebuilding it per packet; the tables
+// are constructed by calling prefsFor itself (see tables.go), so it walks
+// the list the dense path's place builds.
 func (nw *Network) placeR(sh *shardCtx, a *arb, i int, port noc.Port, r int32, x, y int) {
 	p := &nw.pool[r]
-	var pr *prefs
-	if tb := nw.tabs; tb != nil {
-		pr = &tb.in[port][delta(y, p.Dst.Y, nw.n)*nw.n+delta(x, p.Dst.X, nw.n)]
-	} else {
-		fresh := nw.prefsFor(port, p.Dst, x, y)
-		pr = &fresh
-	}
+	pr := &nw.tabs.in[port][delta(y, p.Dst.Y, nw.n)*nw.n+delta(x, p.Dst.X, nw.n)]
 	for k := 0; k < pr.n; k++ {
 		c := pr.c[k]
 		if !a.exists[c.out] || a.taken[c.out] {
@@ -501,27 +485,16 @@ func (nw *Network) emitR(sh *shardCtx, out uint8, r int32, i, x, y int) {
 }
 
 // injectAtR is injectAt over the pool: the offered packet is copied into
-// the pool only when an output is granted. accepted[i] is already false
-// here — Step cleared every flag set last cycle via acceptedPEs.
+// the pool only when an output is granted, and the preference list is the
+// one Offer latched. accepted[i] is already false here — Step cleared every
+// flag set last cycle via acceptedPEs. A refused offer stays latched and
+// marks the router to arbitrate it again next cycle.
 func (nw *Network) injectAtR(sh *shardCtx, a *arb, i, x, y int, now int64) {
 	off := &nw.offers[i]
 	if !off.ok {
 		return
 	}
-	off.ok = false
-
-	dx := noc.RingDelta(x, off.p.Dst.X, nw.n)
-	dy := noc.RingDelta(y, off.p.Dst.Y, nw.n)
-
-	var pr *prefs
-	if tb := nw.tabs; tb != nil {
-		pr = &tb.inj[tb.class[i]][dy*nw.n+dx]
-	} else {
-		t := nw.cfg.Topology
-		fresh := nw.injectPrefs(dx, dy, t.HasXExpress(x), t.HasYExpress(y))
-		pr = &fresh
-	}
-
+	pr := off.pr
 	for k := 0; k < pr.n; k++ {
 		c := pr.c[k]
 		if !a.exists[c.out] || a.taken[c.out] {
@@ -535,6 +508,7 @@ func (nw *Network) injectAtR(sh *shardCtx, a *arb, i, x, y int, now int64) {
 			}
 		}
 		sh.inFlight++
+		off.ok = false
 		nw.accepted[i] = true
 		sh.acceptedPEs = append(sh.acceptedPEs, i)
 		if c.deliver {
@@ -549,4 +523,5 @@ func (nw *Network) injectAtR(sh *shardCtx, a *arb, i, x, y int, now int64) {
 		return
 	}
 	sh.counters.InjectionStalls++
+	sh.mark(i)
 }

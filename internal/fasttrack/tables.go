@@ -16,9 +16,9 @@ import (
 // equality with the untabled path holds by construction (and is additionally
 // asserted exhaustively by TestRouteTables).
 //
-// Tables are attached only to batch instances (NewBatch): the per-job path
-// stays byte-for-byte the code the golden suites compare against the dense
-// reference, and the batched-vs-per-job benchmark keeps a fixed baseline.
+// Every network's sparse path routes from the tables; the dense reference
+// path calls prefsFor and injectAt's own switch directly, so the golden
+// suites still compare the tables against code that does not share them.
 // One table set is shared across every instance and every batch with the
 // same (topology, variant) key — it is immutable after construction.
 type routeTables struct {
@@ -52,7 +52,7 @@ var (
 
 // injectPrefs builds the injection preference list for an offer with ring
 // offsets (dx, dy) at a router with express-lane availability (hx, hy).
-// It is the switch injectAtR historically inlined, with the router coordinate
+// It is the switch injectAt inlines, with the router coordinate
 // dependence reduced to the (hx, hy) class so the list can be memoized;
 // injectEligible's coordinate tests collapse the same way (dx > 0 implies the
 // X-express test, and the Y test is always taken).

@@ -8,7 +8,7 @@ import (
 )
 
 // TestRouteTablesMatchUntabled exhaustively checks the memoized route tables
-// against the functions the untabled per-job path calls, at every router and
+// against prefsFor and injectPrefs evaluated directly, at every router and
 // for every destination offset — the tables claim prefsFor depends on its
 // router coordinate only through the ring offsets, and this is where that
 // claim is proven rather than assumed.
@@ -35,10 +35,9 @@ func TestRouteTablesMatchUntabled(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			nw.enableTables()
 			tb := nw.tabs
 			if tb == nil {
-				t.Fatal("enableTables left tabs nil")
+				t.Fatal("New left tabs nil")
 			}
 			n := tc.n
 			for y := 0; y < n; y++ {
@@ -95,8 +94,9 @@ func TestRouteTablesMatchUntabled(t *testing.T) {
 	}
 }
 
-// TestTablesSharedAcrossBatch checks every instance of a batch references
-// one immutable table set.
+// TestTablesSharedAcrossBatch checks every instance of a batch, and a
+// per-job network of the same configuration, references one immutable table
+// set.
 func TestTablesSharedAcrossBatch(t *testing.T) {
 	top, err := NewTopology(8, 2, 2)
 	if err != nil {
@@ -115,7 +115,7 @@ func TestTablesSharedAcrossBatch(t *testing.T) {
 			t.Fatalf("instance %d has its own table set", i)
 		}
 	}
-	if nw, err := New(Config{Topology: top, Variant: VariantFull}); err != nil || nw.tabs != nil {
-		t.Fatalf("per-job network should run untabled (tabs=%v err=%v)", nw.tabs, err)
+	if nw, err := New(Config{Topology: top, Variant: VariantFull}); err != nil || nw.tabs != first {
+		t.Fatalf("per-job network should share the batch's tables (err=%v)", err)
 	}
 }

@@ -145,12 +145,17 @@ type Network struct {
 	cfg   Config
 	w     int
 
-	offers    []slot
-	forwarded []bool
-	dropped   []bool
-	accepted  []bool
-	delivered []noc.Packet
-	held      []noc.Packet
+	// offers latches each PE's offer (see noc.Network) in the wrapper. An
+	// offer reaches the inner network only for the Step that arbitrates it
+	// and is withdrawn there if refused, so a stuck or frozen cycle never
+	// leaves a stale offer latched inside.
+	offers      []slot
+	forwarded   []bool
+	dropped     []bool
+	accepted    []bool
+	acceptedPEs []int
+	delivered   []noc.Packet
+	held        []noc.Packet
 
 	// misrouted maps a corrupted packet's ID to its original destination
 	// while it is in flight.
@@ -225,12 +230,19 @@ func (nw *Network) Counters() *noc.Counters { return nw.inner.Counters() }
 // behind frozen routers.
 func (nw *Network) InFlight() int { return nw.inner.InFlight() + len(nw.held) }
 
-// Offer presents p for injection at PE pe this cycle.
+// Offer latches p for injection at PE pe until a Step accepts it.
 func (nw *Network) Offer(pe int, p noc.Packet) { nw.offers[pe] = slot{p: p, ok: true} }
+
+// Withdraw cancels the offer held at pe.
+func (nw *Network) Withdraw(pe int) { nw.offers[pe].ok = false }
 
 // Accepted reports whether the offer at pe was injected in the last Step.
 // Packets consumed by a drop fault count as accepted: the link took them.
 func (nw *Network) Accepted(pe int) bool { return nw.accepted[pe] }
+
+// AcceptedPEs returns the PEs whose offers were injected (or dropped by the
+// link) in the last Step, ascending; the slice is reused.
+func (nw *Network) AcceptedPEs() []int { return nw.acceptedPEs }
 
 // Delivered returns packets delivered in the last Step; the slice is reused.
 func (nw *Network) Delivered() []noc.Packet { return nw.delivered }
@@ -251,7 +263,7 @@ func (nw *Network) Events() []Event { return nw.events }
 
 // fateFor is the deterministic transient-fault verdict for a packet: a pure
 // function of (seed, packet ID), independent of offer timing, so stalled
-// offers retried across cycles always meet the same fate.
+// offers held across cycles always meet the same fate.
 func (nw *Network) fateFor(id int64) (fate, *xrand.Rand) {
 	if nw.cfg.DropRate == 0 && nw.cfg.MisrouteRate == 0 {
 		return fateNone, nil
@@ -292,7 +304,6 @@ func (nw *Network) Step(now int64) {
 		if !o.ok {
 			continue
 		}
-		nw.offers[pe].ok = false
 		if stuck, frozen := activeAt(nw.cfg.Stuck, pe, now), activeAt(nw.cfg.Freeze, pe, now); stuck || frozen {
 			k := KindStuck
 			if frozen {
@@ -328,6 +339,7 @@ func (nw *Network) Step(now int64) {
 
 	nw.inner.Step(now)
 
+	nw.acceptedPEs = nw.acceptedPEs[:0]
 	for pe := range nw.accepted {
 		switch {
 		case nw.dropped[pe]:
@@ -335,8 +347,11 @@ func (nw *Network) Step(now int64) {
 		case nw.forwarded[pe]:
 			nw.accepted[pe] = nw.inner.Accepted(pe)
 			if !nw.accepted[pe] {
-				// A misrouted offer that stalled never entered the network;
-				// forget the corruption so the retry re-rolls the same fate.
+				// The wrapper keeps the refused offer latched; the inner
+				// network must not. A misrouted offer that stalled never
+				// entered the network, so forget the corruption and let the
+				// next cycle re-roll the same fate.
+				nw.inner.Withdraw(pe)
 				delete(nw.misrouted, nw.offers[pe].p.ID)
 			} else if _, mis := nw.misrouted[nw.offers[pe].p.ID]; mis {
 				nw.counts.Misrouted++
@@ -344,6 +359,10 @@ func (nw *Network) Step(now int64) {
 			}
 		default:
 			nw.accepted[pe] = false
+		}
+		if nw.accepted[pe] {
+			nw.offers[pe].ok = false
+			nw.acceptedPEs = append(nw.acceptedPEs, pe)
 		}
 	}
 

@@ -122,6 +122,7 @@ type Network struct {
 
 	// Merged views for the sharded accessors; unused when single-shard.
 	mergedDelivered []noc.Packet
+	mergedAccepted  []int
 	mergedCounters  noc.Counters
 
 	// dense selects the reference stepping path that clears and routes
@@ -236,6 +237,7 @@ func (nw *Network) Reset() {
 	nw.shardOf = nil
 	nw.arena = 0
 	nw.mergedDelivered = nw.mergedDelivered[:0]
+	nw.mergedAccepted = nw.mergedAccepted[:0]
 	nw.mergedCounters = noc.Counters{}
 	nw.dense = false
 	nw.obs = nil
@@ -359,9 +361,10 @@ func (nw *Network) Height() int { return nw.h }
 // NumPEs returns the client count.
 func (nw *Network) NumPEs() int { return nw.w * nw.h }
 
-// Offer presents p for injection at PE pe this cycle. Concurrent offers are
-// allowed for PEs owned by different shards: the activity mark lands in the
-// owning shard's next array and the offer slot itself is per-PE.
+// Offer latches p for injection at PE pe until a Step accepts it (see
+// noc.Network). Concurrent offers are allowed for PEs owned by different
+// shards: the activity mark lands in the owning shard's next array and the
+// offer slot itself is per-PE.
 func (nw *Network) Offer(pe int, p noc.Packet) {
 	nw.offers[pe] = slot{p: p, ok: true}
 	sh := &nw.sh[0]
@@ -371,8 +374,21 @@ func (nw *Network) Offer(pe int, p noc.Packet) {
 	sh.mark(pe)
 }
 
+// Withdraw cancels the offer held at pe. A router left marked by the offer
+// routes as if it had none.
+func (nw *Network) Withdraw(pe int) { nw.offers[pe].ok = false }
+
 // Accepted reports whether the offer at pe was injected in the last Step.
 func (nw *Network) Accepted(pe int) bool { return nw.accepted[pe] }
+
+// AcceptedPEs returns the PEs whose offers were injected in the last Step,
+// ascending; the slice is reused.
+func (nw *Network) AcceptedPEs() []int {
+	if nw.shardOf == nil {
+		return nw.sh[0].acceptedPEs
+	}
+	return nw.mergedAccepted
+}
 
 // Delivered returns packets delivered in the last Step; the slice is reused.
 func (nw *Network) Delivered() []noc.Packet {
@@ -515,10 +531,13 @@ func (nw *Network) EndCycle(now int64) {
 	nw.nInR, nw.nInRN = nw.nInRN, nw.nInR
 
 	merged := nw.mergedDelivered[:0]
+	acc := nw.mergedAccepted[:0]
 	for k := range nw.sh {
 		merged = append(merged, nw.sh[k].delivered...)
+		acc = append(acc, nw.sh[k].acceptedPEs...)
 	}
 	nw.mergedDelivered = merged
+	nw.mergedAccepted = acc
 
 	for k := range nw.sh {
 		sh := &nw.sh[k]
@@ -650,7 +669,8 @@ func (nw *Network) routeSparse(sh *shardCtx, i, x, y int, now int64) {
 	}
 
 	// accepted[i] is already false here: the shard cleared every flag it
-	// set last cycle via acceptedPEs before routing started.
+	// set last cycle via acceptedPEs before routing started. A refused offer
+	// stays latched and marks the router to arbitrate it again next cycle.
 	if off := &nw.offers[i]; off.ok {
 		switch {
 		case off.p.Dst.X != x && !eTaken:
@@ -671,6 +691,7 @@ func (nw *Network) routeSparse(sh *shardCtx, i, x, y int, now int64) {
 				nw.accepted[i] = true
 			} else {
 				sh.counters.InjectionStalls++
+				sh.mark(i)
 			}
 		case off.p.Dst.X == x && !sTaken:
 			r := nw.alloc(sh, off.p)
@@ -683,9 +704,10 @@ func (nw *Network) routeSparse(sh *shardCtx, i, x, y int, now int64) {
 			nw.accepted[i] = true
 		default:
 			sh.counters.InjectionStalls++
+			sh.mark(i)
 		}
-		off.ok = false
 		if nw.accepted[i] {
+			off.ok = false
 			sh.acceptedPEs = append(sh.acceptedPEs, i)
 		}
 	}
@@ -828,7 +850,7 @@ func (nw *Network) route(x, y int, now int64) {
 	}
 
 	// PE injection: lowest priority, only into the packet's DOR-desired
-	// port, otherwise the client retries next cycle.
+	// port, otherwise the offer stays latched for the next cycle.
 	nw.accepted[i] = false
 	if off := &nw.offers[i]; off.ok {
 		p := off.p
@@ -856,8 +878,8 @@ func (nw *Network) route(x, y int, now int64) {
 		default:
 			s0.counters.InjectionStalls++
 		}
-		off.ok = false
 		if nw.accepted[i] {
+			off.ok = false
 			s0.acceptedPEs = append(s0.acceptedPEs, i)
 		}
 	}

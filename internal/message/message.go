@@ -12,6 +12,7 @@ import (
 
 	"fasttrack/internal/noc"
 	"fasttrack/internal/stats"
+	"fasttrack/internal/traffic"
 	"fasttrack/internal/xrand"
 )
 
@@ -24,7 +25,7 @@ type Stream struct {
 	rate          float64
 	quota         int // messages per PE
 	rngs          []*xrand.Rand
-	queues        [][]noc.Packet
+	queues        []traffic.Queue[noc.Packet]
 	generated     []int
 	totalPending  int
 	donePEs       int
@@ -49,7 +50,7 @@ func NewStream(w, h, messageBits, widthBits int, rate float64, quota int, seed u
 		rate:        rate,
 		quota:       quota,
 		rngs:        make([]*xrand.Rand, n),
-		queues:      make([][]noc.Packet, n),
+		queues:      make([]traffic.Queue[noc.Packet], n),
 		generated:   make([]int, n),
 		remaining:   make(map[int64]int),
 		msgGen:      make(map[int64]int64),
@@ -83,7 +84,7 @@ func (s *Stream) Tick(now int64) {
 		s.remaining[msg] = s.flitsPerMsg
 		s.msgGen[msg] = now
 		for f := 0; f < s.flitsPerMsg; f++ {
-			s.queues[pe] = append(s.queues[pe], noc.Packet{
+			s.queues[pe].Push(noc.Packet{
 				ID:    msg<<8 | int64(f),
 				Src:   src,
 				Dst:   dst,
@@ -101,18 +102,16 @@ func (s *Stream) Tick(now int64) {
 
 // Pending implements sim.Workload.
 func (s *Stream) Pending(pe int, _ int64) (noc.Packet, bool) {
-	q := s.queues[pe]
-	if len(q) == 0 {
+	q := &s.queues[pe]
+	if q.Empty() {
 		return noc.Packet{}, false
 	}
-	return q[0], true
+	return *q.Head(), true
 }
 
 // Injected implements sim.Workload.
 func (s *Stream) Injected(pe int, _ int64) {
-	q := s.queues[pe]
-	copy(q, q[1:])
-	s.queues[pe] = q[:len(q)-1]
+	s.queues[pe].Pop()
 	s.totalPending--
 }
 

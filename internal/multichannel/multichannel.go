@@ -12,6 +12,7 @@ package multichannel
 
 import (
 	"fmt"
+	"math/bits"
 
 	"fasttrack/internal/hoplite"
 	"fasttrack/internal/noc"
@@ -26,7 +27,12 @@ type Network struct {
 	// nextChan[pe] is the channel the PE will offer to next; it rotates when
 	// an offer stalls so a congested plane cannot starve the client.
 	nextChan []int
-	offered  []int // channel offered to this cycle, -1 if none
+	// held[pe] is the channel latching pe's offer (-1 if none) and pkt[pe]
+	// the offered packet, kept so a refused offer can move to the next
+	// channel; heldBits mirrors held[pe] >= 0 for an ascending walk.
+	held     []int
+	pkt      []noc.Packet
+	heldBits []uint64
 	accepted []bool
 
 	// exitBusy[pe] marks client ports already used this cycle.
@@ -34,10 +40,10 @@ type Network struct {
 	delivered []noc.Packet
 	startChan int // rotating channel service order
 
-	// offeredPEs, acceptedPEs, and busyPEs track which entries of the
-	// corresponding per-PE arrays are set, so the per-cycle bookkeeping
-	// touches only live PEs instead of all N².
-	offeredPEs, acceptedPEs, busyPEs []int
+	// acceptedPEs and busyPEs track which entries of the corresponding
+	// per-PE arrays are set, so the per-cycle bookkeeping touches only live
+	// PEs instead of all N².
+	acceptedPEs, busyPEs []int
 
 	counters noc.Counters
 }
@@ -58,11 +64,13 @@ func New(w, h, k int) (*Network, error) {
 	}
 	n := w * h
 	nw.nextChan = make([]int, n)
-	nw.offered = make([]int, n)
+	nw.held = make([]int, n)
+	nw.pkt = make([]noc.Packet, n)
+	nw.heldBits = make([]uint64, (n+63)/64)
 	nw.accepted = make([]bool, n)
 	nw.exitBusy = make([]bool, n)
-	for i := range nw.offered {
-		nw.offered[i] = -1
+	for i := range nw.held {
+		nw.held[i] = -1
 	}
 	return nw, nil
 }
@@ -97,15 +105,31 @@ func (nw *Network) SetObserver(o telemetry.Observer) {
 	}
 }
 
-// Offer presents p for injection at PE pe this cycle. The packet goes to a
-// single channel chosen by per-PE rotation.
+// Offer latches p for injection at PE pe (see noc.Network). The packet goes
+// to a single channel chosen by per-PE rotation; a replacing offer stays in
+// the channel that holds the current one.
 func (nw *Network) Offer(pe int, p noc.Packet) {
-	c := nw.nextChan[pe]
-	nw.channels[c].Offer(pe, p)
-	if nw.offered[pe] < 0 {
-		nw.offeredPEs = append(nw.offeredPEs, pe)
+	c := nw.held[pe]
+	if c < 0 {
+		c = nw.nextChan[pe]
+		nw.held[pe] = c
+		nw.heldBits[pe>>6] |= 1 << (uint(pe) & 63)
 	}
-	nw.offered[pe] = c
+	nw.pkt[pe] = p
+	nw.channels[c].Offer(pe, p)
+}
+
+// Withdraw cancels the offer held at pe.
+func (nw *Network) Withdraw(pe int) {
+	if c := nw.held[pe]; c >= 0 {
+		nw.channels[c].Withdraw(pe)
+		nw.release(pe)
+	}
+}
+
+func (nw *Network) release(pe int) {
+	nw.held[pe] = -1
+	nw.heldBits[pe>>6] &^= 1 << (uint(pe) & 63)
 }
 
 // Step advances all channels one cycle. Channels are serviced in rotating
@@ -131,27 +155,40 @@ func (nw *Network) Step(now int64) {
 	}
 	nw.startChan = (nw.startChan + 1) % nw.k
 
-	// Record offer outcomes and rotate stalled clients to the next channel.
+	// Record offer outcomes and move refused offers to the next channel,
+	// where they stay latched.
 	for _, pe := range nw.acceptedPEs {
 		nw.accepted[pe] = false
 	}
 	nw.acceptedPEs = nw.acceptedPEs[:0]
-	for _, pe := range nw.offeredPEs {
-		c := nw.offered[pe]
-		ok := nw.channels[c].Accepted(pe)
-		nw.accepted[pe] = ok
-		if ok {
-			nw.acceptedPEs = append(nw.acceptedPEs, pe)
-		} else {
-			nw.nextChan[pe] = (c + 1) % nw.k
+	for wd, b := range nw.heldBits {
+		for b != 0 {
+			pe := wd<<6 + bits.TrailingZeros64(b)
+			b &= b - 1
+			c := nw.held[pe]
+			if nw.channels[c].Accepted(pe) {
+				nw.accepted[pe] = true
+				nw.acceptedPEs = append(nw.acceptedPEs, pe)
+				nw.release(pe)
+				continue
+			}
+			next := (c + 1) % nw.k
+			nw.nextChan[pe] = next
+			if next != c {
+				nw.channels[c].Withdraw(pe)
+				nw.channels[next].Offer(pe, nw.pkt[pe])
+				nw.held[pe] = next
+			}
 		}
-		nw.offered[pe] = -1
 	}
-	nw.offeredPEs = nw.offeredPEs[:0]
 }
 
 // Accepted reports whether the offer at pe was injected in the last Step.
 func (nw *Network) Accepted(pe int) bool { return nw.accepted[pe] }
+
+// AcceptedPEs returns the PEs whose offers were injected in the last Step,
+// ascending; the slice is reused.
+func (nw *Network) AcceptedPEs() []int { return nw.acceptedPEs }
 
 // Delivered returns packets handed to clients in the last Step; the slice
 // is reused between cycles.

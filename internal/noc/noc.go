@@ -110,7 +110,7 @@ type Counters struct {
 	// preferred an express resource — the paper's Fig 18b notion of an
 	// "input deflection".
 	ExpressDeniedByInput [NumPorts]int64
-	// InjectionStalls counts cycles a PE offered a packet and was refused.
+	// InjectionStalls counts cycles a PE held an offer and was refused.
 	InjectionStalls int64
 	// Delivered counts packets handed to clients.
 	Delivered int64
@@ -153,26 +153,40 @@ func (c *Counters) TotalExpressDenied() int64 {
 // Network is a cycle-accurate NoC. The engine drives it with the following
 // per-cycle protocol:
 //
-//  1. Offer at most one packet per PE for injection.
-//  2. Step(now) routes all in-flight packets and decides which offers were
-//     accepted; links latch so the next cycle sees the new state.
-//  3. Read Accepted for each offering PE and Delivered for the packets that
-//     exited this cycle.
+//  1. Offer a packet at a PE whose head packet is new, or Withdraw the
+//     offer of a PE that no longer has one.
+//  2. Step(now) routes all in-flight packets and arbitrates every held
+//     offer; links latch so the next cycle sees the new state.
+//  3. Read AcceptedPEs (or Accepted per PE) and Delivered for the packets
+//     that exited this cycle.
 //
-// Offers not accepted are forgotten; the client must offer again.
+// An offer is a latch, like a hardware client's injection register: the
+// network holds it across cycles until Step accepts it, a new Offer at the
+// same PE replaces it, or Withdraw cancels it. A refused offer is therefore
+// arbitrated again on every later Step with no further call, and counts one
+// InjectionStall per refused cycle. A client that re-offers the same packet
+// every cycle (and withdraws when it has none) sees exactly the behaviour
+// of one that offers it once.
 type Network interface {
 	// Width and Height return the torus dimensions in routers.
 	Width() int
 	Height() int
 	// NumPEs returns Width*Height; PE i sits at (i%Width, i/Width).
 	NumPEs() int
-	// Offer presents a packet for injection at PE pe this cycle.
+	// Offer latches p for injection at PE pe, replacing any offer the PE
+	// already holds.
 	Offer(pe int, p Packet)
+	// Withdraw cancels the offer held at pe, if any.
+	Withdraw(pe int)
 	// Step advances the network one clock cycle.
 	Step(now int64)
-	// Accepted reports whether the packet offered at pe was injected during
-	// the latest Step.
+	// Accepted reports whether the offer held at pe was injected during the
+	// latest Step.
 	Accepted(pe int) bool
+	// AcceptedPEs returns the PEs whose offers were injected during the
+	// latest Step, in ascending order. The slice is reused between cycles;
+	// callers must not retain it.
+	AcceptedPEs() []int
 	// Delivered returns the packets delivered during the latest Step. The
 	// slice is reused between cycles; callers must not retain it.
 	Delivered() []Packet
@@ -186,8 +200,8 @@ type Network interface {
 // S row-band shards, each advanced on its own worker. The engine's sharded
 // cycle protocol is:
 //
-//  1. Offer packets as usual (concurrent offers are allowed for PEs owned
-//     by different shards).
+//  1. Offer and Withdraw as usual (concurrent calls are allowed for PEs
+//     owned by different shards).
 //  2. BeginCycle(now) once, on the coordinator: publishes every shard's
 //     pending activity marks into the cycle's working set.
 //  3. StepShard(k, now) for every shard, concurrently: routes the routers
@@ -196,8 +210,8 @@ type Network interface {
 //     element has exactly one driving router.
 //  4. EndCycle(now) once, on the coordinator: latches the link registers
 //     (the two-phase barrier every network here already had) and merges
-//     per-shard delivery lists in ascending shard order, which reproduces
-//     the sequential engine's global delivery order exactly.
+//     per-shard delivery and accepted-PE lists in ascending shard order,
+//     which reproduces the sequential engine's global order exactly.
 //
 // ConfigureShards(1) restores plain sequential Step semantics.
 type ShardedNetwork interface {

@@ -77,7 +77,8 @@ func ShardEquivalence(t *testing.T, mk func() noc.ShardedNetwork, shardCounts []
 
 	// Precomputed schedule: per-PE destination queues plus a per-(cycle,PE)
 	// offer gate. Identical for every run; a PE re-offers the head of its
-	// queue until the network accepts it.
+	// queue until the network accepts it, and withdraws it on gated-off
+	// cycles.
 	rng := xrand.New(seed)
 	const perPE = 24
 	queues := make([][]noc.Coord, n)
@@ -140,17 +141,17 @@ func ShardEquivalence(t *testing.T, mk func() noc.ShardedNetwork, shardCounts []
 		for c := 0; c < maxCycles; c++ {
 			now := int64(c)
 			offered = offered[:0]
-			if c < cycles {
-				for pe := 0; pe < n; pe++ {
-					if qpos[pe] < len(queues[pe]) && gates[c*n+pe] {
-						nw.Offer(pe, noc.Packet{
-							ID:  int64(pe)<<32 | int64(qpos[pe]),
-							Src: noc.PECoord(pe, w),
-							Dst: queues[pe][qpos[pe]],
-							Gen: now,
-						})
-						offered = append(offered, pe)
-					}
+			for pe := 0; pe < n; pe++ {
+				if c < cycles && qpos[pe] < len(queues[pe]) && gates[c*n+pe] {
+					nw.Offer(pe, noc.Packet{
+						ID:  int64(pe)<<32 | int64(qpos[pe]),
+						Src: noc.PECoord(pe, w),
+						Dst: queues[pe][qpos[pe]],
+						Gen: now,
+					})
+					offered = append(offered, pe)
+				} else {
+					nw.Withdraw(pe)
 				}
 			}
 			step(now)

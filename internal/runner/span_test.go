@@ -20,11 +20,25 @@ func TestSpanLogRecordsJobs(t *testing.T) {
 	}
 	o := &Orchestrator{Workers: 3, Cache: cache, Spans: NewSpanLog()}
 
+	// Jobs i and i+4 share a key. Do has no single-flight, so a repeat that
+	// overlapped its original could miss the cache too; each repeat waits
+	// for its original instead. ForEach hands out indices in order, so the
+	// originals are running before any repeat blocks a worker.
 	const n = 8
+	var originals [n / 2]chan struct{}
+	for k := range originals {
+		originals[k] = make(chan struct{})
+	}
 	job := func(ctx context.Context, i int) error {
+		if i >= n/2 {
+			<-originals[i%4]
+		}
 		_, err := Do(ctx, o, fmt.Sprintf("span-test-%d", i%4), func() (int, error) {
 			return i, nil
 		})
+		if i < n/2 {
+			close(originals[i])
+		}
 		return err
 	}
 	if err := o.ForEach(context.Background(), n, job); err != nil {
@@ -60,7 +74,7 @@ func TestSpanLogRecordsJobs(t *testing.T) {
 		}
 	}
 	// 4 distinct keys over 8 jobs: the second occurrence of each key is a
-	// hit (completion order varies, but the total is exact).
+	// hit.
 	if hits != 4 {
 		t.Errorf("cache-hit spans = %d, want 4", hits)
 	}

@@ -152,8 +152,11 @@ func (s *Server) effectiveTimeout(want time.Duration) time.Duration {
 
 // finishJob classifies the outcome, records the end-to-end span and
 // histogram sample (before the terminal transition, so a client that sees
-// the final status frame scrapes consistent /metrics), records the terminal
-// state, and retires the job from the in-flight dedup index.
+// the final status frame scrapes consistent /metrics), retires the job from
+// the in-flight dedup index (also before the terminal transition, so a
+// client that sees Done cannot join it), and records the terminal state.
+// The job's result is already in the cache: runner.Do puts it before
+// returning.
 func (s *Server) finishJob(j *Job, result any, cached bool, err error) {
 	state := StateDone
 	var failure *Failure
@@ -196,6 +199,7 @@ func (s *Server) finishJob(j *Job, result any, cached bool, err error) {
 	}
 	j.trace.Add(e2e)
 	s.histE2E.Observe(e2e.Dur())
+	s.leaveDedup(j)
 	j.finish(state, cached, result, failure)
 	s.finishRegistration(j)
 }

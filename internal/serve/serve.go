@@ -396,14 +396,22 @@ func (s *Server) Job(id string) *Job {
 	return s.jobs[id]
 }
 
-// finishRegistration moves a terminal job out of the dedup index and
-// applies the bounded retention policy.
-func (s *Server) finishRegistration(j *Job) {
+// leaveDedup removes a finishing job from the in-flight dedup index. It runs
+// before the terminal transition, so a client that has seen Done can never
+// join the finished job; an identical admission after this point becomes a
+// new job and hits the cache, which the job's result was put into first.
+func (s *Server) leaveDedup(j *Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.byKey[j.Key] == j {
 		delete(s.byKey, j.Key)
 	}
+}
+
+// finishRegistration applies the bounded retention policy to a terminal job.
+func (s *Server) finishRegistration(j *Job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.doneOrder = append(s.doneOrder, j.ID)
 	for len(s.doneOrder) > s.opts.retainJobs() {
 		old := s.doneOrder[0]

@@ -2,10 +2,11 @@
 // three phases fanned out over S persistent workers — workload tick+offer
 // (when the workload is ShardableWorkload), network StepShard, and delivery
 // statistics partitioned by source shard. Everything order-sensitive (the
-// done check, audit, observer callbacks, the watchdog, convergence) stays on
-// the coordinator, and every parallel reduction is integer-valued and
-// merged in ascending shard order, so the Result is bit-identical to the
-// sequential engine's. golden_test.go enforces that equivalence.
+// done check, inject feedback, audit, observer callbacks, the watchdog,
+// convergence) stays on the coordinator, and every parallel reduction is
+// integer-valued and merged in ascending shard order, so the Result is
+// bit-identical to the sequential engine's. golden_test.go enforces that
+// equivalence.
 package sim
 
 import (
@@ -58,16 +59,16 @@ func (p *shardPool) close() {
 	}
 }
 
-// shardState is one shard's slice of the engine state: its PE range, live
-// list, and the integer statistics partials that merge into the Result.
+// shardState is one shard's slice of the engine state: its PE range, the
+// PEs its workload shard listed this cycle, the change in held offers they
+// made, the tracked walk order (see engine.order), and the integer
+// statistics partials that merge into the Result.
 type shardState struct {
 	lo, hi int // PE range [lo, hi)
 
-	live     []int
-	anyOffer bool
-
-	injected int64
-	progress bool
+	live  []int
+	held  int
+	order []int
 
 	hist   *stats.Histogram
 	latSum int64
@@ -131,10 +132,6 @@ func runSharded(net noc.Network, wl Workload, opts Options) (Result, error) {
 		so.SetShardObservers(fan.Observers())
 	}
 
-	// Inject feedback may fan out only when nobody needs a globally ordered
-	// callback stream: the auditor and observer both do.
-	parallelInject := shardable && e.aud == nil && e.obs == nil
-
 	pool := newShardPool(s)
 	defer pool.close()
 
@@ -145,29 +142,22 @@ func runSharded(net noc.Network, wl Workload, opts Options) (Result, error) {
 		}
 
 		// Phase 1: tick + offer.
-		anyOffer := false
 		if shardable {
 			cyc := now
 			pool.dispatch(func(k int) {
 				sh := &shards[k]
 				swl.TickShard(k, cyc)
 				sh.live = swl.ActiveShard(k, sh.live[:0])
-				sh.anyOffer = false
-				for _, pe := range sh.live {
-					if e.offerPE(pe, cyc) {
-						sh.anyOffer = true
-					}
-				}
+				sh.held = e.offerListed(sh.live, &sh.order, cyc)
 			})
 			for k := range shards {
-				if shards[k].anyOffer {
-					anyOffer = true
-				}
+				e.nHeld += shards[k].held
 			}
 		} else {
 			e.wl.Tick(now)
-			anyOffer = e.phaseOffer(now)
+			e.phaseOffer(now)
 		}
+		anyOffer := e.nHeld > 0
 		if !anyOffer && wl.Done() && net.InFlight() == 0 {
 			break
 		}
@@ -184,32 +174,15 @@ func runSharded(net noc.Network, wl Workload, opts Options) (Result, error) {
 			fan.Flush()
 		}
 
-		// Phase 3: inject feedback.
+		// Phase 3: inject feedback, on the coordinator. A tracked run walks
+		// each shard's order list in ascending shard order, the order the
+		// per-shard live lists gave before offers were latched.
 		progress := false
-		if parallelInject {
-			cyc := now
-			pool.dispatch(func(k int) {
-				sh := &shards[k]
-				sh.injected = 0
-				sh.progress = false
-				for _, pe := range sh.live {
-					if e.injectPE(pe, cyc) {
-						sh.injected++
-						sh.progress = true
-					}
-				}
-			})
+		if e.track && shardable {
+			e.markAccepted()
 			for k := range shards {
-				e.res.Injected += shards[k].injected
-				progress = progress || shards[k].progress
-			}
-		} else if shardable {
-			for k := range shards {
-				for _, pe := range shards[k].live {
-					if e.injectPE(pe, now) {
-						e.res.Injected++
-						progress = true
-					}
+				if e.feedbackOrdered(&shards[k].order, now) {
+					progress = true
 				}
 			}
 		} else {
@@ -278,16 +251,16 @@ func runSharded(net noc.Network, wl Workload, opts Options) (Result, error) {
 			}
 			e.res.Delivered += int64(len(batch))
 			for i := range batch {
-				p := batch[i]
+				p := &batch[i]
 				if e.aud != nil {
-					if err := e.aud.onDeliver(p, now); err != nil {
+					if err := e.aud.onDeliver(*p, now); err != nil {
 						return e.res, err
 					}
 				}
 				if e.obs != nil {
-					e.obs.OnDeliver(now, &p)
+					e.obs.OnDeliver(now, p)
 				}
-				e.wl.Delivered(p, now)
+				e.wl.Delivered(*p, now)
 			}
 		}
 

@@ -3,10 +3,11 @@
 // average and worst-case packet latency, latency histograms, link-usage and
 // deflection counters, and workload completion time.
 //
-// The engine's per-cycle protocol matches noc.Network: the workload offers
-// at most one packet per PE, the network steps, accepted offers are consumed
-// and deliveries are fed back to the workload (dependency-driven traces use
-// this to unlock later sends).
+// The engine's per-cycle protocol matches noc.Network: each PE offers its
+// head packet once and the network holds the offer until it is accepted,
+// the network steps, accepted offers are consumed and deliveries are fed
+// back to the workload (dependency-driven traces use this to unlock later
+// sends).
 package sim
 
 import (
@@ -34,7 +35,9 @@ type Workload interface {
 	Tick(now int64)
 	// Pending returns the packet PE pe wants to inject this cycle, if any.
 	// The same packet must be returned every cycle until Injected is called
-	// for it (offers that stall are retried).
+	// for it, unless the workload lists pe again through ActiveSet (the
+	// network holds a stalled offer, so the engine asks again only when the
+	// head may have changed).
 	Pending(pe int, now int64) (noc.Packet, bool)
 	// Injected reports that the pending packet at pe entered the network.
 	Injected(pe int, now int64)
@@ -45,30 +48,37 @@ type Workload interface {
 }
 
 // ActiveSet is optionally implemented by workloads that can cheaply
-// enumerate the PEs which may have a pending packet this cycle. When a
-// workload implements it, Run polls Pending only on those PEs instead of
-// scanning all N² every cycle — the dominant engine cost at the
-// low-injection-rate sweep points where almost every PE is idle.
+// enumerate the PEs whose head packet is new. When a workload implements
+// it, Run polls Pending only on those PEs and leaves every other offer
+// latched in the network (see noc.Network), instead of asking all N² PEs
+// every cycle — so a PE the network keeps refusing costs only its router's
+// arbitration.
 //
-// The contract: after Tick, every PE for which Pending would return ok must
-// appear in the returned set (a superset is fine, duplicates are not), and
-// the enumeration must be a deterministic function of the workload's
-// history so repeated runs replay identically. The fast path is bit-exact
-// with the full scan because per-PE offer operations are independent;
-// Options.Engine = EngineDense selects the reference scan for equivalence
-// testing.
+// The contract: a PE is listed from the moment its head packet is new — its
+// queue became non-empty, Injected popped its head, or a packet that sorts
+// before the head already returned by Pending joined its queue — until
+// Pending returns that head (ok). A PE whose head exists but is not ready
+// yet stays listed; a superset is fine, duplicates are not. After Tick,
+// every PE for which Pending would return a packet other than the one it
+// last returned must be listed. The enumeration must be a deterministic
+// function of the workload's history, and its order must be the order in
+// which the PEs were listed, so repeated runs replay identically and
+// observers see the order they always saw. The fast path is bit-exact with
+// the full scan because a latched offer behaves exactly like the same offer
+// repeated every cycle; Options.Engine = EngineDense selects the reference
+// scan for equivalence testing.
 type ActiveSet interface {
-	// ActivePEs appends the live PE indices to buf and returns it.
+	// ActivePEs appends the listed PE indices to buf and returns it.
 	ActivePEs(buf []int) []int
 }
 
 // ShardableWorkload is optionally implemented by workloads whose generation
-// state can be partitioned by PE range, so the sharded engine can tick and
-// enumerate each shard's PEs on that shard's worker. The contract mirrors
-// ActiveSet's: the packets produced (contents, IDs, order per PE) must be
-// bit-identical to a sequential Tick, and Injected must be safe to call
-// concurrently for PEs owned by different shards. traffic.Synthetic is the
-// canonical implementation.
+// state can be partitioned by PE range, so the sharded engine can tick,
+// enumerate and poll each shard's PEs on that shard's worker. The contract
+// mirrors ActiveSet's: the packets produced (contents, IDs, order per PE)
+// must be bit-identical to a sequential Tick, and Pending must be safe to
+// call concurrently for PEs owned by different shards (Injected is called
+// on the coordinator). traffic.Synthetic is the canonical implementation.
 type ShardableWorkload interface {
 	Workload
 	ActiveSet
@@ -322,16 +332,30 @@ type engine struct {
 	numPE int
 	width int
 
-	offered    []bool
+	// pst[pe] is PE pe's offer state (the pe* bits); nHeld counts the PEs
+	// whose offer the network holds. A held offer is an offer for the
+	// watchdog and the drain check.
+	pst   []uint8
+	nHeld int
+
+	aud *auditor
+	obs telemetry.Observer
+	// track mirrors offered packets for the auditor and the observer and
+	// walks every held offer after Step, so each refused PE gets its
+	// OnInjectStall; without either consumer the engine reads only the
+	// network's accepted list.
+	track      bool
 	offeredPkt []noc.Packet
-	aud        *auditor
-	obs        telemetry.Observer
-	// track mirrors accepted offers for the auditor and the observer;
-	// without either consumer the copy is skipped in the hot loop.
-	track    bool
-	fast     bool
-	activeWL ActiveSet
-	live     []int
+	fast       bool
+	activeWL   ActiveSet
+	live       []int
+
+	// order is the walk order of a tracked fast-path run: PEs in the order
+	// the workload listed them, kept while they hold an offer or were
+	// polled this cycle — the order the workload's own live list had when
+	// the engine re-offered every cycle, so observers see the same event
+	// order.
+	order []int
 
 	// latSum accumulates delivery latencies as an integer so per-shard
 	// partial sums merge to the exact sequential total (int64 addition is
@@ -357,8 +381,7 @@ func newEngine(net noc.Network, wl Workload, opts Options) *engine {
 		conv:    convergence{tol: opts.ConvergeTol, patience: opts.ConvergePatience},
 	}
 	e.res.PerSource = make([]stats.Accumulator, e.numPE)
-	e.offered = make([]bool, e.numPE)
-	e.offeredPkt = make([]noc.Packet, e.numPE)
+	e.pst = make([]uint8, e.numPE)
 	if e.obs != nil {
 		attachObserver(net, wl, e.obs)
 	}
@@ -370,8 +393,19 @@ func newEngine(net noc.Network, wl Workload, opts Options) *engine {
 		e.fast = false
 	}
 	e.track = e.aud != nil || e.obs != nil
+	if e.track {
+		e.offeredPkt = make([]noc.Packet, e.numPE)
+	}
 	return e
 }
+
+// Per-PE offer state bits (engine.pst).
+const (
+	peHeld     uint8 = 1 << iota // the network holds the PE's offer
+	pePolled                     // polled this cycle (tracked fast path)
+	peInOrder                    // has an entry in its order list
+	peAccepted                   // injected by this cycle's Step (tracked)
+)
 
 // pollCtx checks for sweep-scheduler cancellation every few thousand cycles.
 func (e *engine) pollCtx(now int64) error {
@@ -381,60 +415,70 @@ func (e *engine) pollCtx(now int64) error {
 	return nil
 }
 
-// offerPE presents pe's pending packet to the network; reports whether one
-// was offered. Touches only per-PE state, so the sharded driver calls it
-// concurrently for PEs owned by different shards.
-func (e *engine) offerPE(pe int, now int64) bool {
+// offerPE polls pe's head packet: Offer latches it (replacing the offer the
+// network holds, if any) and a PE with nothing to send withdraws its offer.
+// It returns the change in the held-offer count. Touches only per-PE state,
+// so the sharded driver calls it concurrently for PEs owned by different
+// shards.
+func (e *engine) offerPE(pe int, now int64) int {
 	p, ok := e.wl.Pending(pe, now)
-	e.offered[pe] = ok
+	was := e.pst[pe]&peHeld != 0
 	if !ok {
-		return false
+		if !was {
+			return 0
+		}
+		e.pst[pe] &^= peHeld
+		e.net.Withdraw(pe)
+		return -1
 	}
+	e.pst[pe] |= peHeld
 	if e.track {
 		e.offeredPkt[pe] = p
 	}
 	e.net.Offer(pe, p)
-	return true
+	if was {
+		return 0
+	}
+	return 1
 }
 
-// phaseOffer gathers this cycle's offers, via the ActiveSet fast path when
-// available. Per-PE offer operations are independent, so the fast path is
-// bit-exact with the full scan (golden_test.go holds the two to
-// byte-identical Results).
-func (e *engine) phaseOffer(now int64) bool {
-	anyOffer := false
+// offerListed polls the PEs an ActiveSet listed and returns the change in
+// the held-offer count. A tracked run also marks them polled and appends
+// newcomers to its walk order ord.
+func (e *engine) offerListed(pes []int, ord *[]int, now int64) int {
+	d := 0
+	for _, pe := range pes {
+		if e.track {
+			if e.pst[pe]&peInOrder == 0 {
+				*ord = append(*ord, pe)
+			}
+			e.pst[pe] |= pePolled | peInOrder
+		}
+		d += e.offerPE(pe, now)
+	}
+	return d
+}
+
+// phaseOffer gathers this cycle's new offers: on the fast path only the PEs
+// the ActiveSet lists, on the reference path every PE. Offers already held
+// stay latched in the network, which is bit-exact with re-offering them
+// (golden_test.go holds the two paths to byte-identical Results).
+func (e *engine) phaseOffer(now int64) {
 	if e.fast {
 		e.live = e.activeWL.ActivePEs(e.live[:0])
-		for _, pe := range e.live {
-			if e.offerPE(pe, now) {
-				anyOffer = true
-			}
-		}
-	} else {
-		for pe := 0; pe < e.numPE; pe++ {
-			if e.offerPE(pe, now) {
-				anyOffer = true
-			}
-		}
+		e.nHeld += e.offerListed(e.live, &e.order, now)
+		return
 	}
-	return anyOffer
+	for pe := 0; pe < e.numPE; pe++ {
+		e.nHeld += e.offerPE(pe, now)
+	}
 }
 
-// injectPE consumes pe's offer if the network accepted it, reporting whether
-// an injection happened. The caller counts successes into Result.Injected —
-// kept out of here so the sharded driver can run this concurrently for PEs
-// of different shards (workload Injected is shard-safe by the
-// ShardableWorkload contract) and tally per shard.
-func (e *engine) injectPE(pe int, now int64) bool {
-	if !e.offered[pe] {
-		return false
-	}
-	if !e.net.Accepted(pe) {
-		if e.obs != nil {
-			e.obs.OnInjectStall(now, pe)
-		}
-		return false
-	}
+// accept consumes pe's offer, which the network injected this cycle.
+func (e *engine) accept(pe int, now int64) {
+	e.pst[pe] &^= peHeld | peAccepted
+	e.nHeld--
+	e.res.Injected++
 	e.wl.Injected(pe, now)
 	if e.aud != nil {
 		e.aud.onInject(e.offeredPkt[pe], now)
@@ -442,26 +486,78 @@ func (e *engine) injectPE(pe int, now int64) bool {
 	if e.obs != nil {
 		e.obs.OnInject(now, &e.offeredPkt[pe])
 	}
-	return true
+}
+
+// markAccepted flags the offers the latest Step injected, for a tracked walk.
+func (e *engine) markAccepted() {
+	for _, pe := range e.net.AcceptedPEs() {
+		e.pst[pe] |= peAccepted
+	}
+}
+
+// feedbackOrdered walks a tracked fast-path order list: every held offer
+// gets its verdict — marked by markAccepted — and PEs neither holding an
+// offer nor polled this cycle leave the list (their queue drained). It is
+// the observed runs' per-cycle cost of one OnInjectStall per refused PE, so
+// a refused offer held from an earlier cycle takes the shortest path and
+// the list is rewritten only behind the first PE that leaves it.
+func (e *engine) feedbackOrdered(ord *[]int, now int64) bool {
+	list, pst, obs := *ord, e.pst, e.obs
+	progress := false
+	kept := 0
+	for i, pe := range list {
+		st := pst[pe]
+		if st == peHeld|peInOrder {
+			if obs != nil {
+				obs.OnInjectStall(now, pe)
+			}
+		} else {
+			if st&(peHeld|pePolled) == 0 {
+				pst[pe] = st &^ peInOrder
+				continue
+			}
+			pst[pe] = st &^ pePolled
+			switch {
+			case st&peAccepted != 0:
+				e.accept(pe, now)
+				progress = true
+			case st&peHeld != 0 && obs != nil:
+				obs.OnInjectStall(now, pe)
+			}
+		}
+		if kept != i {
+			list[kept] = pe
+		}
+		kept++
+	}
+	*ord = list[:kept]
+	return progress
 }
 
 // phaseInjectFeedback relays the network's accept decisions back to the
-// workload for every PE that offered this cycle.
+// workload. Untracked runs read only the network's accepted list, so a
+// refused offer costs the engine nothing; tracked runs walk every held
+// offer so each refusal reaches the observer.
 func (e *engine) phaseInjectFeedback(now int64) bool {
-	progress := false
-	if e.fast {
-		for _, pe := range e.live {
-			if e.injectPE(pe, now) {
-				e.res.Injected++
-				progress = true
-			}
+	if !e.track {
+		acc := e.net.AcceptedPEs()
+		for _, pe := range acc {
+			e.accept(pe, now)
 		}
-	} else {
-		for pe := 0; pe < e.numPE; pe++ {
-			if e.injectPE(pe, now) {
-				e.res.Injected++
-				progress = true
-			}
+		return len(acc) > 0
+	}
+	e.markAccepted()
+	if e.fast {
+		return e.feedbackOrdered(&e.order, now)
+	}
+	progress := false
+	for pe, st := range e.pst {
+		switch {
+		case st&peAccepted != 0:
+			e.accept(pe, now)
+			progress = true
+		case st&peHeld != 0 && e.obs != nil:
+			e.obs.OnInjectStall(now, pe)
 		}
 	}
 	return progress
@@ -490,22 +586,26 @@ func (e *engine) errNegativeLatency(p *noc.Packet, now int64) error {
 
 // phaseDeliver processes this cycle's deliveries: audit, statistics,
 // observer and workload callbacks, in the network's delivery order.
+// The observer gets a pointer into the network's delivery list, so the
+// packet is not copied to the heap for it.
 func (e *engine) phaseDeliver(now int64) (progress bool, err error) {
-	for _, p := range e.net.Delivered() {
+	batch := e.net.Delivered()
+	for i := range batch {
+		p := &batch[i]
 		lat := now - p.Gen
 		if lat < 0 {
-			return progress, e.errNegativeLatency(&p, now)
+			return progress, e.errNegativeLatency(p, now)
 		}
 		if e.aud != nil {
-			if err := e.aud.onDeliver(p, now); err != nil {
+			if err := e.aud.onDeliver(*p, now); err != nil {
 				return progress, err
 			}
 		}
-		e.deliverStats(&p, lat)
+		e.deliverStats(p, lat)
 		if e.obs != nil {
-			e.obs.OnDeliver(now, &p)
+			e.obs.OnDeliver(now, p)
 		}
-		e.wl.Delivered(p, now)
+		e.wl.Delivered(*p, now)
 		progress = true
 	}
 	return progress, nil
@@ -526,7 +626,7 @@ func (e *engine) phaseCycleEnd(now int64) error {
 
 // watchdog enforces the stall limit. A cycle counts toward it only when the
 // network could have made progress and did not: a packet is in flight or an
-// offer was presented (and, having produced no progress, was refused). A
+// offer was held (and, having produced no progress, was refused). A
 // deliberately idle workload — a trace in a long compute gap with nothing
 // pending and an empty network — is not a livelock and resets the window,
 // no matter how long the gap.
@@ -615,7 +715,8 @@ const (
 // per-job path runs.
 func (e *engine) cycle(now int64) (cycleStatus, error) {
 	e.wl.Tick(now)
-	anyOffer := e.phaseOffer(now)
+	e.phaseOffer(now)
+	anyOffer := e.nHeld > 0
 	if !anyOffer && e.wl.Done() && e.net.InFlight() == 0 {
 		return cycleDrained, nil
 	}

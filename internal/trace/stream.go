@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"fasttrack/internal/active"
 	"fasttrack/internal/noc"
 )
 
@@ -53,9 +54,8 @@ type Stream struct {
 
 	readyQ []eventHeap
 	selfQ  eventHeap
-	live   []int
-	inLive []bool
-	now    int64 // current cycle, for conservative late-read scheduling
+	listed active.List // see Workload.listed
+	now    int64       // current cycle, for conservative late-read scheduling
 
 	// scratch is the decode target reused across fill calls; a local would
 	// escape through the Cursor interface and allocate once per event.
@@ -100,7 +100,7 @@ func NewStream(src Source, width, height int, opts StreamOptions) (*Stream, erro
 		window: window,
 		ring:   make([]evSlot, window),
 		readyQ: make([]eventHeap, hdr.PEs),
-		inLive: make([]bool, hdr.PEs),
+		listed: active.NewList(hdr.PEs),
 	}
 	s.fill()
 	if s.err != nil {
@@ -191,10 +191,8 @@ func (s *Stream) schedule(ev int32, readyAt int64) {
 		s.selfQ.pushItem(item{ev: ev, readyAt: readyAt})
 		return
 	}
-	s.readyQ[slot.src].pushItem(item{ev: ev, readyAt: readyAt})
-	if !s.inLive[slot.src] {
-		s.inLive[slot.src] = true
-		s.live = append(s.live, int(slot.src))
+	if s.readyQ[slot.src].pushItem(item{ev: ev, readyAt: readyAt}) {
+		s.listed.List(int(slot.src))
 	}
 }
 
@@ -244,6 +242,7 @@ func (s *Stream) Pending(pe int, now int64) (noc.Packet, bool) {
 	if len(q) == 0 || q[0].readyAt > now {
 		return noc.Packet{}, false
 	}
+	s.listed.Unlist(pe)
 	ev := q[0].ev
 	slot := &s.ring[int64(ev)%int64(s.window)]
 	return noc.Packet{
@@ -258,6 +257,9 @@ func (s *Stream) Pending(pe int, now int64) (noc.Packet, bool) {
 // Injected implements sim.Workload.
 func (s *Stream) Injected(pe int, _ int64) {
 	s.readyQ[pe].popItem()
+	if len(s.readyQ[pe]) > 0 {
+		s.listed.List(pe)
+	}
 }
 
 // Delivered implements sim.Workload.
@@ -266,19 +268,7 @@ func (s *Stream) Delivered(p noc.Packet, now int64) {
 }
 
 // ActivePEs implements sim.ActiveSet (see Workload.ActivePEs).
-func (s *Stream) ActivePEs(buf []int) []int {
-	kept := s.live[:0]
-	for _, pe := range s.live {
-		if len(s.readyQ[pe]) == 0 {
-			s.inLive[pe] = false
-			continue
-		}
-		kept = append(kept, pe)
-		buf = append(buf, pe)
-	}
-	s.live = kept
-	return buf
-}
+func (s *Stream) ActivePEs(buf []int) []int { return s.listed.AppendTo(buf) }
 
 // Done implements sim.Workload.
 func (s *Stream) Done() bool {

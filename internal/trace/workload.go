@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 
+	"fasttrack/internal/active"
 	"fasttrack/internal/noc"
 )
 
@@ -25,12 +26,12 @@ type Workload struct {
 	selfQ     eventHeap
 	completed int
 
-	// live lists PEs with a non-empty readyQ (inLive guards duplicates); it
-	// backs the sim.ActiveSet fast path. A PE whose head event is still in
-	// the future stays listed — ActivePEs may return a superset — and PEs
-	// are dropped lazily once their queue drains.
-	live   []int
-	inLive []bool
+	// listed backs the sim.ActiveSet fast path: a PE is listed when an
+	// event becomes its readyQ root (its queue was empty, or the event sorts
+	// before the root Pending already returned) or Injected exposes a new
+	// root, and stays listed — even while the root is not ready yet — until
+	// Pending returns the root.
+	listed active.List
 }
 
 // item pairs an event index with the cycle it becomes injectable.
@@ -61,10 +62,12 @@ func (h *eventHeap) Pop() any {
 // pushItem and popItem are typed equivalents of container/heap's Push and
 // Pop, avoiding an interface allocation per event on the replay hot path.
 // Less is a strict total order (ev tiebreak), so pop order is identical.
-func (h *eventHeap) pushItem(it item) {
+// pushItem reports whether it became the root.
+func (h *eventHeap) pushItem(it item) bool {
 	*h = append(*h, it)
 	q := *h
-	for i := len(q) - 1; i > 0; {
+	i := len(q) - 1
+	for i > 0 {
 		parent := (i - 1) / 2
 		if !q.Less(i, parent) {
 			break
@@ -72,6 +75,7 @@ func (h *eventHeap) pushItem(it item) {
 		q.Swap(i, parent)
 		i = parent
 	}
+	return i == 0
 }
 
 func (h *eventHeap) popItem() item {
@@ -113,7 +117,7 @@ func NewWorkload(tr *Trace, width, height int) (*Workload, error) {
 		remaining: make([]int32, len(tr.Events)),
 		deps:      make([][]int32, len(tr.Events)),
 		readyQ:    make([]eventHeap, tr.PEs),
-		inLive:    make([]bool, tr.PEs),
+		listed:    active.NewList(tr.PEs),
 	}
 	for i, e := range tr.Events {
 		w.remaining[i] = int32(len(e.Deps))
@@ -136,10 +140,8 @@ func (w *Workload) schedule(ev int32, readyAt int64) {
 		w.selfQ.pushItem(item{ev: ev, readyAt: readyAt})
 		return
 	}
-	w.readyQ[e.Src].pushItem(item{ev: ev, readyAt: readyAt})
-	if !w.inLive[e.Src] {
-		w.inLive[e.Src] = true
-		w.live = append(w.live, e.Src)
+	if w.readyQ[e.Src].pushItem(item{ev: ev, readyAt: readyAt}) {
+		w.listed.List(e.Src)
 	}
 }
 
@@ -169,6 +171,7 @@ func (w *Workload) Pending(pe int, now int64) (noc.Packet, bool) {
 	if len(q) == 0 || q[0].readyAt > now {
 		return noc.Packet{}, false
 	}
+	w.listed.Unlist(pe)
 	ev := q[0].ev
 	e := &w.tr.Events[ev]
 	return noc.Packet{
@@ -183,6 +186,9 @@ func (w *Workload) Pending(pe int, now int64) (noc.Packet, bool) {
 // Injected implements sim.Workload.
 func (w *Workload) Injected(pe int, _ int64) {
 	w.readyQ[pe].popItem()
+	if len(w.readyQ[pe]) > 0 {
+		w.listed.List(pe)
+	}
 }
 
 // Delivered implements sim.Workload: a delivered packet completes its event
@@ -191,22 +197,9 @@ func (w *Workload) Delivered(p noc.Packet, now int64) {
 	w.complete(p.Event, now)
 }
 
-// ActivePEs implements sim.ActiveSet: the PEs with queued events. PEs
-// whose head event is not ready yet are included (a permitted superset);
-// drained PEs are dropped during the walk.
-func (w *Workload) ActivePEs(buf []int) []int {
-	kept := w.live[:0]
-	for _, pe := range w.live {
-		if len(w.readyQ[pe]) == 0 {
-			w.inLive[pe] = false
-			continue
-		}
-		kept = append(kept, pe)
-		buf = append(buf, pe)
-	}
-	w.live = kept
-	return buf
-}
+// ActivePEs implements sim.ActiveSet: the PEs whose readyQ root is new.
+// PEs whose root is not ready yet are included (a permitted superset).
+func (w *Workload) ActivePEs(buf []int) []int { return w.listed.AppendTo(buf) }
 
 // Done implements sim.Workload.
 func (w *Workload) Done() bool { return w.completed == len(w.tr.Events) }

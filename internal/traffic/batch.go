@@ -3,6 +3,7 @@ package traffic
 import (
 	"math"
 
+	"fasttrack/internal/active"
 	"fasttrack/internal/noc"
 	"fasttrack/internal/xrand"
 )
@@ -29,25 +30,6 @@ type qent struct {
 	gen int64
 }
 
-// srcQueue is a head-indexed FIFO: dequeue advances head (no memmove, which
-// dominated the saturated per-job profile), enqueue appends, and the buffer
-// compacts only when append would otherwise grow it.
-type srcQueue struct {
-	buf  []qent
-	head int
-}
-
-func (q *srcQueue) push(e qent) {
-	if q.head > 0 && len(q.buf) == cap(q.buf) {
-		n := copy(q.buf, q.buf[q.head:])
-		q.buf = q.buf[:n]
-		q.head = 0
-	}
-	q.buf = append(q.buf, e)
-}
-
-func (q *srcQueue) empty() bool { return q.head == len(q.buf) }
-
 // synthInst is the per-instance aggregate state of a SyntheticBatch.
 type synthInst struct {
 	pattern Pattern
@@ -63,9 +45,8 @@ type synthInst struct {
 	// may fast-forward an otherwise-idle instance straight to it.
 	minNext int64
 
-	// live lists PEs with a non-empty source queue, insertion-ordered and
-	// compacted lazily on the active walk, exactly like Synthetic.
-	live []int
+	// listed backs the sim.ActiveSet fast path, exactly like Synthetic's.
+	listed active.List
 }
 
 // SyntheticBatch is B independent Synthetic workloads over one fabric
@@ -95,8 +76,7 @@ type SyntheticBatch struct {
 	generated []int32
 	injected  []int32
 	silent    []bool
-	inLive    []bool
-	queues    []srcQueue
+	queues    []Queue[qent]
 
 	views []SynthView
 }
@@ -114,14 +94,14 @@ func NewSyntheticBatch(w, h int, specs []SynthSpec) *SyntheticBatch {
 		generated: make([]int32, b*n),
 		injected:  make([]int32, b*n),
 		silent:    make([]bool, b*n),
-		inLive:    make([]bool, b*n),
-		queues:    make([]srcQueue, b*n),
+		queues:    make([]Queue[qent], b*n),
 		views:     make([]SynthView, b),
 	}
 	for bi, spec := range specs {
 		in := &s.insts[bi]
 		in.pattern, in.rate, in.quota = spec.Pattern, spec.Rate, spec.Quota
 		in.minNext = noNext
+		in.listed = active.NewList(n)
 		root := xrand.New(spec.Seed)
 		base := bi * n
 		for pe := 0; pe < n; pe++ {
@@ -200,12 +180,12 @@ func (v *SynthView) Tick(now int64) {
 		idx := v.base + pe
 		nc := s.nextCycle[idx]
 		if nc == now {
-			s.queues[idx].push(qent{dst: s.nextDst[idx], gen: now})
-			in.pending++
-			if !s.inLive[idx] {
-				s.inLive[idx] = true
-				in.live = append(in.live, pe)
+			q := &s.queues[idx]
+			if q.Empty() {
+				in.listed.List(pe)
 			}
+			q.Push(qent{dst: s.nextDst[idx], gen: now})
+			in.pending++
 			s.generated[idx]++
 			if int(s.generated[idx]) == in.quota {
 				in.doneGen++
@@ -228,10 +208,11 @@ func (v *SynthView) Pending(pe int, _ int64) (noc.Packet, bool) {
 	s := v.sb
 	idx := v.base + pe
 	q := &s.queues[idx]
-	if q.empty() {
+	if q.Empty() {
 		return noc.Packet{}, false
 	}
-	e := q.buf[q.head]
+	s.insts[v.b].listed.Unlist(pe)
+	e := q.Head()
 	return noc.Packet{
 		ID:    (int64(pe)+1)<<32 | int64(s.injected[idx]+1),
 		Src:   noc.PECoord(pe, s.w),
@@ -246,12 +227,13 @@ func (v *SynthView) Injected(pe int, _ int64) {
 	s := v.sb
 	idx := v.base + pe
 	q := &s.queues[idx]
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf, q.head = q.buf[:0], 0
-	}
+	q.Pop()
 	s.injected[idx]++
-	s.insts[v.b].pending--
+	in := &s.insts[v.b]
+	in.pending--
+	if !q.Empty() {
+		in.listed.List(pe)
+	}
 }
 
 // Delivered implements sim.Workload (synthetic traffic has no dependencies).
@@ -263,21 +245,9 @@ func (v *SynthView) Done() bool {
 	return in.doneGen == v.sb.n && in.pending == 0
 }
 
-// ActivePEs implements sim.ActiveSet with Synthetic's lazy compaction.
+// ActivePEs implements sim.ActiveSet: the PEs whose head packet is new.
 func (v *SynthView) ActivePEs(buf []int) []int {
-	s := v.sb
-	in := &s.insts[v.b]
-	kept := in.live[:0]
-	for _, pe := range in.live {
-		if s.queues[v.base+pe].empty() {
-			s.inLive[v.base+pe] = false
-			continue
-		}
-		kept = append(kept, pe)
-		buf = append(buf, pe)
-	}
-	in.live = kept
-	return buf
+	return v.sb.insts[v.b].listed.AppendTo(buf)
 }
 
 // NextEventCycle implements sim.EventWorkload: the earliest cycle at which

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"fasttrack/internal/active"
 	"fasttrack/internal/noc"
 	"fasttrack/internal/xrand"
 )
@@ -9,17 +10,16 @@ import (
 // workload is the single-shard special case, so both paths run the same
 // code; when the engine shards the fabric, each worker owns a contiguous PE
 // range and all mutable aggregate state (pending counts, quota bookkeeping,
-// live lists) lives here so shard ticks never touch shared words.
+// listings) lives here so shard ticks never touch shared words.
 type synthShard struct {
 	lo, hi  int // PE range [lo, hi)
 	pending int // packets queued across the range
 	doneGen int // PEs in range that are silent or at quota
 
-	// live lists PEs with a non-empty source queue (inLive guards against
-	// duplicates); it backs the sim.ActiveSet fast path. PEs are added when
-	// their queue first becomes non-empty and dropped lazily when the active
-	// walk finds them drained.
-	live []int
+	// listed backs the sim.ActiveSet fast path: a PE is listed when its
+	// queue becomes non-empty or Injected exposes a new head, and unlisted
+	// when Pending returns the head.
+	listed active.List
 }
 
 // Synthetic is a sim.Workload that generates pattern traffic with Bernoulli
@@ -38,10 +38,10 @@ type Synthetic struct {
 	quota     int
 	pattern   Pattern
 	rngs      []*xrand.Rand
-	queues    [][]noc.Packet
+	queues    []Queue[qent]
 	generated []int
+	injected  []int
 	silent    []bool // PEs the pattern never sources from
-	inLive    []bool
 
 	sh      []synthShard
 	peShard []int32 // PE index -> owning shard
@@ -63,10 +63,10 @@ func NewSynthetic(w, h int, pattern Pattern, rate float64, quota int, seed uint6
 		quota:     quota,
 		pattern:   pattern,
 		rngs:      make([]*xrand.Rand, n),
-		queues:    make([][]noc.Packet, n),
+		queues:    make([]Queue[qent], n),
 		generated: make([]int, n),
+		injected:  make([]int, n),
 		silent:    make([]bool, n),
-		inLive:    make([]bool, n),
 	}
 	root := xrand.New(seed)
 	for pe := 0; pe < n; pe++ {
@@ -80,9 +80,9 @@ func NewSynthetic(w, h int, pattern Pattern, rate float64, quota int, seed uint6
 // ConfigureShards implements sim.ShardableWorkload: repartition the PE space
 // into len(bounds)-1 contiguous shards with shard k owning PEs
 // [bounds[k], bounds[k+1]). Aggregate state (pending, quota bookkeeping,
-// live lists) is redistributed to the new owners; live-list insertion order
-// is preserved per shard so an active walk stays deterministic. Returns
-// false (leaving the workload untouched) if bounds do not partition [0, n).
+// listings) is redistributed to the new owners; listing order is preserved
+// per shard so an active walk stays deterministic. Returns false (leaving
+// the workload untouched) if bounds do not partition [0, n).
 func (s *Synthetic) ConfigureShards(bounds []int) bool {
 	n := len(s.rngs)
 	if len(bounds) < 2 || bounds[0] != 0 || bounds[len(bounds)-1] != n {
@@ -93,28 +93,25 @@ func (s *Synthetic) ConfigureShards(bounds []int) bool {
 			return false
 		}
 	}
-	var oldLive []int
+	var listed []int
 	for i := range s.sh {
-		oldLive = append(oldLive, s.sh[i].live...)
+		listed = s.sh[i].listed.AppendTo(listed)
 	}
 	ns := make([]synthShard, len(bounds)-1)
 	ps := make([]int32, n)
 	for k := range ns {
 		ns[k].lo, ns[k].hi = bounds[k], bounds[k+1]
+		ns[k].listed = active.NewList(n)
 		for pe := ns[k].lo; pe < ns[k].hi; pe++ {
 			ps[pe] = int32(k)
 			if s.silent[pe] || s.generated[pe] >= s.quota {
 				ns[k].doneGen++
 			}
-			ns[k].pending += len(s.queues[pe])
+			ns[k].pending += s.queues[pe].Len()
 		}
 	}
-	for _, pe := range oldLive {
-		if len(s.queues[pe]) == 0 {
-			s.inLive[pe] = false
-			continue
-		}
-		ns[ps[pe]].live = append(ns[ps[pe]].live, pe)
+	for _, pe := range listed {
+		ns[ps[pe]].listed.List(pe)
 	}
 	s.sh, s.peShard = ns, ps
 	return true
@@ -147,22 +144,12 @@ func (s *Synthetic) tickShard(sh *synthShard, now int64) {
 		if !ok {
 			continue
 		}
-		// IDs are a per-PE (source, sequence) pair rather than a global
-		// counter, so the ID a packet gets is independent of the order PEs
-		// are ticked in — shard-parallel generation assigns the same IDs as
-		// a sequential pass. Quotas are bounded well below 2^32.
-		s.queues[pe] = append(s.queues[pe], noc.Packet{
-			ID:    (int64(pe)+1)<<32 | int64(s.generated[pe]+1),
-			Src:   src,
-			Dst:   dst,
-			Gen:   now,
-			Event: -1,
-		})
-		sh.pending++
-		if !s.inLive[pe] {
-			s.inLive[pe] = true
-			sh.live = append(sh.live, pe)
+		q := &s.queues[pe]
+		if q.Empty() {
+			sh.listed.List(pe)
 		}
+		q.Push(qent{dst: dst, gen: now})
+		sh.pending++
 		s.generated[pe]++
 		if s.generated[pe] == s.quota {
 			sh.doneGen++
@@ -170,23 +157,40 @@ func (s *Synthetic) tickShard(sh *synthShard, now int64) {
 	}
 }
 
-// Pending implements sim.Workload.
+// Pending implements sim.Workload. The queue holds only each packet's
+// destination and generation cycle; the ID is a per-PE (source, sequence)
+// pair — the sequence half is the number of packets this PE has already
+// injected plus one, since the queue is FIFO — so the ID a packet gets is
+// independent of the order PEs are ticked in, and shard-parallel generation
+// assigns the same IDs as a sequential pass. Quotas are bounded well below
+// 2^32. Safe to call concurrently for PEs in distinct shards.
 func (s *Synthetic) Pending(pe int, _ int64) (noc.Packet, bool) {
-	q := s.queues[pe]
-	if len(q) == 0 {
+	q := &s.queues[pe]
+	if q.Empty() {
 		return noc.Packet{}, false
 	}
-	return q[0], true
+	s.sh[s.peShard[pe]].listed.Unlist(pe)
+	e := q.Head()
+	return noc.Packet{
+		ID:    (int64(pe)+1)<<32 | int64(s.injected[pe]+1),
+		Src:   noc.PECoord(pe, s.w),
+		Dst:   e.dst,
+		Gen:   e.gen,
+		Event: -1,
+	}, true
 }
 
-// Injected implements sim.Workload. Safe to call concurrently for PEs in
-// distinct shards: the dequeue touches only per-PE state and the pending
-// count of the owning shard.
+// Injected implements sim.Workload. The dequeue touches only per-PE state
+// and the owning shard's pending count and listing.
 func (s *Synthetic) Injected(pe int, _ int64) {
-	q := s.queues[pe]
-	copy(q, q[1:])
-	s.queues[pe] = q[:len(q)-1]
-	s.sh[s.peShard[pe]].pending--
+	q := &s.queues[pe]
+	q.Pop()
+	s.injected[pe]++
+	sh := &s.sh[s.peShard[pe]]
+	sh.pending--
+	if !q.Empty() {
+		sh.listed.List(pe)
+	}
 }
 
 // Delivered implements sim.Workload (synthetic traffic has no dependencies).
@@ -203,34 +207,18 @@ func (s *Synthetic) Done() bool {
 	return true
 }
 
-// ActivePEs implements sim.ActiveSet: the PEs with a queued packet.
-// Drained PEs are dropped here rather than in Injected, so the list walk
-// doubles as the compaction pass and Injected stays O(queue).
+// ActivePEs implements sim.ActiveSet: the PEs whose head packet is new.
 func (s *Synthetic) ActivePEs(buf []int) []int {
 	for k := range s.sh {
-		buf = s.activeShard(&s.sh[k], buf)
+		buf = s.sh[k].listed.AppendTo(buf)
 	}
 	return buf
 }
 
-// ActiveShard implements sim.ShardableWorkload: live PEs of shard k only.
+// ActiveShard implements sim.ShardableWorkload: listed PEs of shard k only.
 // Safe to call concurrently for distinct k.
 func (s *Synthetic) ActiveShard(k int, buf []int) []int {
-	return s.activeShard(&s.sh[k], buf)
-}
-
-func (s *Synthetic) activeShard(sh *synthShard, buf []int) []int {
-	kept := sh.live[:0]
-	for _, pe := range sh.live {
-		if len(s.queues[pe]) == 0 {
-			s.inLive[pe] = false
-			continue
-		}
-		kept = append(kept, pe)
-		buf = append(buf, pe)
-	}
-	sh.live = kept
-	return buf
+	return s.sh[k].listed.AppendTo(buf)
 }
 
 // Generated returns the total packets created so far.
